@@ -19,6 +19,12 @@
 //! * `relaxed-justify` — every `Ordering::Relaxed` must carry a
 //!   `// relaxed:` comment (same line or the line above) justifying
 //!   why no ordering is needed.
+//! * `id-map` — maps and sets keyed by `TaskId` must use
+//!   `sfs_core::task::{IdMap, IdSet}`: a std `HashMap<TaskId, _>` or
+//!   `HashSet<TaskId>` (path-qualified keys such as `task::TaskId`
+//!   included) pays keyed SipHash on every run-queue lookup for ids
+//!   the program allocates itself. A line that names
+//!   `IdHasher` (the aliases' own definition) is exempt.
 //!
 //! The scanner strips strings and comments before matching, matches
 //! identifiers exactly (`OrderedMutex` does not trip the `Mutex`
@@ -55,6 +61,47 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "relaxed-justify",
         "every Ordering::Relaxed needs a // relaxed: justification comment",
+    ),
+    (
+        "id-map",
+        "TaskId-keyed maps/sets use task::IdMap / IdSet, not SipHash HashMap / HashSet",
+    ),
+];
+
+/// One seeded violation per rule, as `(rule, path, source)`: the exact
+/// mutation each rule exists to stop. Every rule must fire on its own
+/// entry, or a clean report over the real tree proves nothing; the
+/// self-tests below and `repro lint` both check it.
+pub const SEEDED_MUTATIONS: &[(&str, &str, &str)] = &[
+    (
+        "sim-wall-clock",
+        "crates/sim/src/clock.rs",
+        "let t0 = std::time::SystemTime::now();\n",
+    ),
+    (
+        "rt-sleep",
+        "crates/core/src/shard.rs",
+        "thread::sleep(Duration::from_millis(1));\n",
+    ),
+    (
+        "hot-unwrap",
+        "crates/rt/src/executor.rs",
+        "let g = self.global.lock().unwrap();\n",
+    ),
+    (
+        "rt-raw-mutex",
+        "crates/rt/src/executor.rs",
+        "let m: Mutex<u32> = Mutex::new(0);\n",
+    ),
+    (
+        "relaxed-justify",
+        "crates/rt/src/executor.rs",
+        "self.epoch.store(e, Ordering::Relaxed);\n",
+    ),
+    (
+        "id-map",
+        "crates/core/src/sfs.rs",
+        "    tasks: HashMap<TaskId, Entry>,\n",
     ),
 ];
 
@@ -306,6 +353,12 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                     "Ordering::Relaxed without a // relaxed: justification".to_string(),
                 );
             }
+            if std_id_map(&code) {
+                push(
+                    "id-map",
+                    "SipHash map keyed by TaskId — use task::IdMap / IdSet".to_string(),
+                );
+            }
         }
 
         for ch in code.chars() {
@@ -400,6 +453,26 @@ fn strip_line(raw: &str, in_block_comment: &mut bool) -> String {
         }
     }
     out
+}
+
+/// True when a code line spells a std-hashed `HashMap`/`HashSet` whose
+/// key — the first generic argument, in type position or turbofish,
+/// any spacing — has `TaskId` as its last path segment (so
+/// `task::TaskId` counts too), unless the line names `IdHasher`: the
+/// hasher that makes it an `IdMap`/`IdSet`.
+fn std_id_map(code: &str) -> bool {
+    let squeezed: String = code.chars().filter(|c| !c.is_whitespace()).collect();
+    let keyed = ["HashMap", "HashSet"].iter().any(|name| {
+        squeezed.match_indices(name).any(|(at, _)| {
+            let rest = &squeezed[at + name.len()..];
+            let rest = rest.strip_prefix("::").unwrap_or(rest);
+            rest.strip_prefix('<').is_some_and(|args| {
+                let key = args.split([',', '>']).next().unwrap_or("");
+                key.rsplit("::").next() == Some("TaskId")
+            })
+        })
+    });
+    keyed && !has_ident(code, "IdHasher")
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -516,6 +589,34 @@ mod tests {
     }
 
     #[test]
+    fn id_map_fires_on_std_task_id_maps_only() {
+        for bad in [
+            "struct S { tasks: HashMap<TaskId, Entry> }\n",
+            "let seen: std::collections::HashSet<TaskId> = HashSet::new();\n",
+            "let m = HashMap::<TaskId, u64>::new();\n",
+            "fn f() -> HashMap< TaskId , u64 > { todo!() }\n",
+            "struct S { tasks: HashMap<task::TaskId, Entry> }\n",
+            "let s = HashSet::<crate::task::TaskId>::new();\n",
+        ] {
+            let f = scan_source("crates/trace/src/event.rs", bad);
+            assert_eq!(rules_fired(&f), ["id-map"], "{bad}");
+        }
+        for good in [
+            "struct S { tasks: IdMap<Entry>, blocked: IdSet }\n",
+            "let open: HashMap<u32, TaskId> = HashMap::new();\n",
+            "let m: HashMap<MyTaskId, u8> = HashMap::new();\n",
+            "let m: HashMap<Vec<TaskId>, u8> = HashMap::new();\n",
+            "let order: BTreeMap<TaskId, u64> = BTreeMap::new();\n",
+            "pub type IdMap<V> = HashMap<TaskId, V, BuildHasherDefault<IdHasher>>;\n",
+            "// a HashMap<TaskId, _> in prose\n",
+            "#[cfg(test)]\nmod tests {\n    fn t() { let m: HashMap<TaskId, u8> = HashMap::new(); }\n}\n",
+        ] {
+            let f = scan_source("crates/core/src/sfs.rs", good);
+            assert!(f.is_empty(), "{good}: {f:?}");
+        }
+    }
+
+    #[test]
     fn cfg_test_regions_are_skipped() {
         let src = "fn hot() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); let i = Instant::now(); }\n}\nfn after() { y.unwrap(); }\n";
         let f = scan_source("crates/sim/src/engine.rs", src);
@@ -568,34 +669,15 @@ mod tests {
         // One synthetic file per rule, each carrying the exact
         // mutation the rule exists to stop — the non-vacuousness
         // proof for the lint layer.
-        let mutations: &[(&str, &str, &str)] = &[
-            (
-                "sim-wall-clock",
-                "crates/sim/src/clock.rs",
-                "let t0 = std::time::SystemTime::now();\n",
-            ),
-            (
-                "rt-sleep",
-                "crates/core/src/shard.rs",
-                "thread::sleep(Duration::from_millis(1));\n",
-            ),
-            (
-                "hot-unwrap",
-                "crates/rt/src/executor.rs",
-                "let g = self.global.lock().unwrap();\n",
-            ),
-            (
-                "rt-raw-mutex",
-                "crates/rt/src/executor.rs",
-                "let m: Mutex<u32> = Mutex::new(0);\n",
-            ),
-            (
-                "relaxed-justify",
-                "crates/rt/src/executor.rs",
-                "self.epoch.store(e, Ordering::Relaxed);\n",
-            ),
-        ];
-        for (rule, path, src) in mutations {
+        let mut covered: Vec<&str> = SEEDED_MUTATIONS.iter().map(|(r, _, _)| *r).collect();
+        covered.sort_unstable();
+        let mut rules: Vec<&str> = RULES.iter().map(|(id, _)| *id).collect();
+        rules.sort_unstable();
+        assert_eq!(
+            covered, rules,
+            "every rule needs exactly one seeded mutation"
+        );
+        for (rule, path, src) in SEEDED_MUTATIONS {
             let f = scan_source(path, src);
             assert!(
                 f.iter().any(|x| x.rule == *rule),

@@ -28,11 +28,10 @@
 //! A CI smoke step regenerates the quick variant on every PR and fails
 //! if `steps_per_event` grows superlogarithmically across the sweep.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use sfs_core::sched::SwitchReason;
-use sfs_core::task::{weight, CpuId, TaskId};
+use sfs_core::task::{weight, CpuId, IdMap, TaskId};
 use sfs_core::time::{Duration, Time};
 use sfs_metrics::{render, ChartConfig, TimeSeries};
 
@@ -64,7 +63,7 @@ impl Rng {
 #[derive(Default)]
 struct ReadySet {
     ids: Vec<TaskId>,
-    pos: HashMap<TaskId, usize>,
+    pos: IdMap<usize>,
 }
 
 impl ReadySet {

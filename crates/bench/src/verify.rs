@@ -43,36 +43,9 @@ pub fn run_lint(_effort: Effort) -> ExpResult {
 
     // Non-vacuousness first: every rule must catch its seeded
     // mutation, or a clean report over the real tree proves nothing.
-    let mutations: &[(&str, &str, &str)] = &[
-        (
-            "sim-wall-clock",
-            "crates/sim/src/clock.rs",
-            "let t0 = std::time::SystemTime::now();\n",
-        ),
-        (
-            "rt-sleep",
-            "crates/core/src/shard.rs",
-            "thread::sleep(Duration::from_millis(1));\n",
-        ),
-        (
-            "hot-unwrap",
-            "crates/rt/src/executor.rs",
-            "let g = self.global.lock().unwrap();\n",
-        ),
-        (
-            "rt-raw-mutex",
-            "crates/rt/src/executor.rs",
-            "let m: Mutex<u32> = Mutex::new(0);\n",
-        ),
-        (
-            "relaxed-justify",
-            "crates/rt/src/executor.rs",
-            "self.epoch.store(e, Ordering::Relaxed);\n",
-        ),
-    ];
     let mut caught = 0usize;
     let mut mut_text = String::from("seeded mutations (each rule must fire on its own):\n");
-    for (rule, path, src) in mutations {
+    for (rule, path, src) in lint::SEEDED_MUTATIONS {
         let hit = lint::scan_source(path, src).iter().any(|f| f.rule == *rule);
         if hit {
             caught += 1;
@@ -86,7 +59,10 @@ pub fn run_lint(_effort: Effort) -> ExpResult {
         );
     }
     res.section(&mut_text);
-    res.finding("mutations caught", format!("{caught}/{}", mutations.len()));
+    res.finding(
+        "mutations caught",
+        format!("{caught}/{}", lint::SEEDED_MUTATIONS.len()),
+    );
 
     // The real tree.
     match lint::run(workspace_root()) {

@@ -51,11 +51,11 @@
 //! The old path was O(n) per pick in `resort_with` alone.
 
 use std::collections::btree_set;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::fixed::Fixed;
 use crate::queues::tree_steps;
-use crate::task::TaskId;
+use crate::task::{IdMap, TaskId};
 
 /// One weight class: runnable threads ordered by `(start tag, id)`.
 type Bucket = BTreeSet<(Fixed, TaskId)>;
@@ -72,7 +72,7 @@ pub struct BucketQueue {
     /// weight classes actually present.
     buckets: BTreeMap<Fixed, Bucket>,
     /// Per-task location: the bucket key `φ` and the start-tag key.
-    index: HashMap<TaskId, (Fixed, Fixed)>,
+    index: IdMap<(Fixed, Fixed)>,
     /// Cumulative event-path steps; see [`BucketQueue::steps`].
     steps: u64,
 }

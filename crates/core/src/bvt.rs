@@ -12,13 +12,11 @@
 //! pathology on SMPs; the optional readjustment wrapper (§2.1) repairs
 //! it.
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, KeyCounter, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::task::{CpuId, IdMap, TaskId, TaskState, Weight};
 use crate::time::{Duration, Time};
 
 /// Tuning knobs for [`Bvt`].
@@ -66,7 +64,7 @@ impl BvtTask {
 pub struct Bvt {
     cfg: BvtConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, BvtTask>,
+    tasks: IdMap<BvtTask>,
     feas: FeasibleWeights,
     /// Ready+running tasks ordered by effective virtual time.
     evt_q: IndexedList,
@@ -97,7 +95,7 @@ impl Bvt {
         Bvt {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             feas: FeasibleWeights::new(cpus, readjust),
             evt_q: IndexedList::new(Order::Ascending),
             avts: KeyCounter::new(),

@@ -12,12 +12,31 @@
 //! we implement the same renormalisation in the schedulers as a
 //! behaviour-preserving port of their wrap-around handling, and keep the
 //! wide mantissa as a safety net).
+//!
+//! # The 64-bit fast path
+//!
+//! The products and quotients on the SFS decision path — the surplus
+//! `φ·(S − v)` ([`Fixed::mul_fixed`]), the tag step `q/φ`
+//! ([`Fixed::div_into_int`]) and the readjusted cap
+//! ([`Fixed::from_ratio`]) — each divide. On 128-bit operands a
+//! division is a call into the compiler's software routine
+//! (`__divti3`), paid on every surplus a pick compares. So each of
+//! these first computes in `i64` with `checked_mul`/`checked_div`, and
+//! falls back to the `i128` expression only when a step would
+//! overflow. Both widths truncate toward zero, so the two paths return
+//! bit-identical results; a property test pins that on random and edge
+//! operands. The `i128` mantissa and the fallback stay: long runs, huge
+//! weights or a raised renormalisation threshold push products past
+//! `i64`, and there they take the slower path instead of overflowing.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// The paper's scaling factor: captures 4 digits past the decimal point.
 pub const SCALE: i128 = 10_000;
+
+/// [`SCALE`] for the 64-bit fast path.
+const SCALE64: i64 = SCALE as i64;
 
 /// A fixed-point number with [`SCALE`] fractional resolution.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -45,7 +64,11 @@ impl Fixed {
     /// Panics if `den == 0`.
     pub const fn from_ratio(num: i64, den: i64) -> Fixed {
         assert!(den != 0, "from_ratio: zero denominator");
-        Fixed(num as i128 * SCALE / den as i128)
+        match num.checked_mul(SCALE64) {
+            // A multiple of SCALE is never i64::MIN, so `/ -1` is safe.
+            Some(n) => Fixed((n / den) as i128),
+            None => Fixed(num as i128 * SCALE / den as i128),
+        }
     }
 
     /// Constructs a value from a raw scaled mantissa.
@@ -105,6 +128,11 @@ impl Fixed {
     ///
     /// `(a * SCALE) * (b * SCALE) / SCALE = a*b * SCALE`.
     pub fn mul_fixed(self, rhs: Fixed) -> Fixed {
+        if let (Ok(a), Ok(b)) = (i64::try_from(self.0), i64::try_from(rhs.0)) {
+            if let Some(p) = a.checked_mul(b) {
+                return Fixed((p / SCALE64) as i128);
+            }
+        }
         Fixed(self.0 * rhs.0 / SCALE)
     }
 
@@ -130,6 +158,14 @@ impl Fixed {
         assert!(self.0 != 0, "div_into_int: zero weight");
         // `q * SCALE * SCALE / mantissa` keeps the result in fixed-point:
         // q/(mantissa/SCALE) scaled by SCALE.
+        if let (Ok(q), Ok(m)) = (i64::try_from(q), i64::try_from(self.0)) {
+            if let Some(r) = q
+                .checked_mul(SCALE64 * SCALE64)
+                .and_then(|n| n.checked_div(m))
+            {
+                return Fixed(r as i128);
+            }
+        }
         Fixed(q as i128 * SCALE * SCALE / self.0)
     }
 }
@@ -268,6 +304,145 @@ mod tests {
         let got = phi.div_into_int(200_000_000);
         let want = Fixed::from_raw(200_000_000i128 * SCALE / 3);
         assert_eq!(got, want);
+    }
+
+    /// The `i128` expressions each fast path must reproduce exactly.
+    mod reference {
+        use super::SCALE;
+
+        pub fn mul_fixed(a: i128, b: i128) -> i128 {
+            a * b / SCALE
+        }
+        pub fn div_into_int(m: i128, q: u64) -> i128 {
+            q as i128 * SCALE * SCALE / m
+        }
+        pub fn from_ratio(num: i64, den: i64) -> i128 {
+            num as i128 * SCALE / den as i128
+        }
+    }
+
+    /// `⌊√(2⁶³ − 1)⌋`: the largest factor whose square fits in `i64`.
+    const ROOT_MAX: i128 = 3_037_000_499;
+    /// `2⁶³ / SCALE`: past it, `x · SCALE` no longer fits in `i64`.
+    const SCALED_EDGE: i128 = (1i128 << 63) / SCALE;
+
+    /// Mantissas that straddle every fast-path boundary: zero, ±1, the
+    /// `i64` limits and one past them, the `x · SCALE` limit, and the
+    /// square root of `i64::MAX` (so products land just past it).
+    fn edge_raw() -> impl Strategy<Value = i128> {
+        let mut edges = vec![
+            0,
+            1,
+            -1,
+            SCALE,
+            -SCALE,
+            i64::MAX as i128 + 1,
+            i64::MIN as i128 - 1,
+        ];
+        for base in [
+            i64::MAX as i128,
+            i64::MIN as i128,
+            SCALED_EDGE,
+            -SCALED_EDGE,
+            ROOT_MAX,
+            -ROOT_MAX,
+        ] {
+            edges.extend((-2..=2).map(|d| base + d));
+        }
+        (0..edges.len()).prop_map(move |i| edges[i])
+    }
+
+    /// A fast-path operand: random over the whole `i64` range, small,
+    /// near an edge, or just wider than `i64` (the fallback must handle
+    /// it). Magnitudes stay below 1.25·2⁶³, so even the reference
+    /// product of two operands fits in `i128`.
+    fn operand() -> impl Strategy<Value = i128> {
+        prop_oneof![
+            (i64::MIN..i64::MAX).prop_map(i128::from),
+            (-1_000_000_000i64..1_000_000_000).prop_map(i128::from),
+            edge_raw(),
+            (i64::MIN / 4..i64::MAX / 4).prop_map(|x| {
+                let x = i128::from(x);
+                if x >= 0 {
+                    i64::MAX as i128 + 1 + x
+                } else {
+                    i64::MIN as i128 - 1 + x
+                }
+            }),
+        ]
+    }
+
+    /// A divisor: any operand but zero.
+    fn divisor() -> impl Strategy<Value = i128> {
+        operand().prop_map(|x| if x == 0 { 1 } else { x })
+    }
+
+    #[test]
+    fn fast_paths_match_reference_at_named_edges() {
+        // A product just past i64::MAX takes the fallback; one just
+        // below takes the fast path. Both agree with the reference.
+        for (a, b) in [
+            (ROOT_MAX, ROOT_MAX),
+            (ROOT_MAX + 1, ROOT_MAX + 1),
+            (-ROOT_MAX - 1, ROOT_MAX + 1),
+        ] {
+            let got = Fixed::from_raw(a).mul_fixed(Fixed::from_raw(b)).raw();
+            assert_eq!(got, reference::mul_fixed(a, b), "{a} * {b}");
+        }
+        assert_eq!(Fixed::from_ratio(-7, 2).raw(), -35_000);
+        assert_eq!(Fixed::from_ratio(-1, 3).raw(), -3_333);
+        assert_eq!(
+            Fixed::from_ratio(i64::MIN, -1).raw(),
+            reference::from_ratio(i64::MIN, -1)
+        );
+        assert_eq!(
+            Fixed::from_raw(-1).div_into_int(u64::MAX).raw(),
+            reference::div_into_int(-1, u64::MAX)
+        );
+    }
+
+    proptest! {
+        // Pure arithmetic: cheap enough for many more cases than the
+        // default.
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
+
+        #[test]
+        fn mul_fixed_matches_reference(a in operand(), b in operand()) {
+            let got = Fixed::from_raw(a).mul_fixed(Fixed::from_raw(b)).raw();
+            prop_assert_eq!(got, reference::mul_fixed(a, b));
+        }
+
+        #[test]
+        fn mul_fixed_matches_reference_near_i64_max(
+            a in prop_oneof![1i64..i64::MAX, 1i64..1 << 32],
+            d in -3i64..4,
+            neg in 0u8..2,
+        ) {
+            // b ≈ i64::MAX / a, so a·b lands within a few a of i64::MAX,
+            // on either side of the fast path's limit.
+            let a = i128::from(a);
+            let b = (i64::MAX as i128 / a + i128::from(d)) * if neg == 1 { -1 } else { 1 };
+            let got = Fixed::from_raw(a).mul_fixed(Fixed::from_raw(b)).raw();
+            prop_assert_eq!(got, reference::mul_fixed(a, b));
+        }
+
+        #[test]
+        fn div_into_int_matches_reference(
+            m in divisor(),
+            q in prop_oneof![0..u64::MAX, 0u64..10_000_000_000, Just(u64::MAX), Just(i64::MAX as u64 + 1)],
+        ) {
+            let got = Fixed::from_raw(m).div_into_int(q).raw();
+            prop_assert_eq!(got, reference::div_into_int(m, q));
+        }
+
+        #[test]
+        fn from_ratio_matches_reference(
+            num in prop_oneof![i64::MIN..i64::MAX, -1_000_000i64..1_000_000, edge_raw().prop_map(|x| x as i64)],
+            den in prop_oneof![i64::MIN..i64::MAX, -1_000i64..1_000].prop_map(|d| if d == 0 { -1 } else { d }),
+        ) {
+            prop_assert_eq!(Fixed::from_ratio(num, den).raw(), reference::from_ratio(num, den));
+        }
+
     }
 
     proptest! {

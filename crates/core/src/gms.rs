@@ -25,10 +25,8 @@
 //! reference, not kernel code, and the relative error over any experiment
 //! horizon is far below the fixed-point resolution used by the schedulers.
 
-use std::collections::HashMap;
-
 use crate::readjust::{apply, readjust};
-use crate::task::{TaskId, Weight};
+use crate::task::{IdMap, TaskId, Weight};
 use crate::time::Duration;
 
 #[derive(Debug, Clone)]
@@ -44,7 +42,7 @@ struct FluidTask {
 pub struct FluidGms {
     cpus: u32,
     capacity: f64,
-    tasks: HashMap<TaskId, FluidTask>,
+    tasks: IdMap<FluidTask>,
     total_phi: f64,
 }
 
@@ -60,7 +58,7 @@ impl FluidGms {
         FluidGms {
             cpus,
             capacity: 1.0,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             total_phi: 0.0,
         }
     }

@@ -31,14 +31,12 @@
 //!
 //! [`PolicySpec`]: crate::policy::PolicySpec
 
-use std::collections::HashMap;
-
 use crate::buckets::BucketQueue;
 use crate::fixed::Fixed;
 use crate::policy::GroupSpec;
 use crate::readjust::readjust_capped;
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, TenantId, Weight};
+use crate::task::{CpuId, IdMap, TaskId, TenantId, Weight};
 use crate::time::{Duration, Time};
 
 /// One tenant group: its share, its child policy instance and its
@@ -80,7 +78,7 @@ pub struct HierSfs {
     cpus: u32,
     groups: Vec<Group>,
     /// Which group each attached task belongs to.
-    task_group: HashMap<TaskId, usize>,
+    task_group: IdMap<usize>,
     /// Group-level run queue, keyed by group index as a `TaskId`.
     buckets: BucketQueue,
     /// Sum of the queued groups' raw shares (conservation invariant).
@@ -118,7 +116,7 @@ impl HierSfs {
         HierSfs {
             cpus,
             groups,
-            task_group: HashMap::new(),
+            task_group: IdMap::default(),
             buckets: BucketQueue::new(),
             queued_share_total: 0,
             v: Fixed::ZERO,
@@ -562,13 +560,8 @@ mod tests {
 
     /// Runs a fixed-quantum loop and returns per-task service in
     /// quantum units.
-    fn run_quanta(
-        sched: &mut HierSfs,
-        cpus: u32,
-        quanta: u64,
-        q: Duration,
-    ) -> HashMap<TaskId, u64> {
-        let mut service: HashMap<TaskId, u64> = HashMap::new();
+    fn run_quanta(sched: &mut HierSfs, cpus: u32, quanta: u64, q: Duration) -> IdMap<u64> {
+        let mut service: IdMap<u64> = IdMap::default();
         let mut now = Time::ZERO;
         for _ in 0..quanta {
             let mut picked = Vec::new();

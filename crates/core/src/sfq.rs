@@ -18,13 +18,11 @@
 //! repairs the infeasible-weights pathology (Fig. 4b) but not the
 //! short-jobs one (Fig. 5a).
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TagTask, TaskId, TaskState, Weight};
+use crate::task::{CpuId, IdMap, TagTask, TaskId, TaskState, Weight};
 use crate::time::{Duration, Time};
 
 /// Tuning knobs for [`Sfq`].
@@ -62,7 +60,7 @@ struct Entry {
 pub struct Sfq {
     cfg: SfqConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, Entry>,
+    tasks: IdMap<Entry>,
     feas: FeasibleWeights,
     start_q: IndexedList,
     v: Fixed,
@@ -98,7 +96,7 @@ impl Sfq {
         Sfq {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             feas: FeasibleWeights::new(cpus, readjust),
             start_q: IndexedList::new(Order::Ascending),
             v: Fixed::ZERO,

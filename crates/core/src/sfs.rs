@@ -53,8 +53,14 @@
 //! (O(#weight-classes·log n) instead of O(n)). The bounded-lookahead
 //! heuristic of §3.2 and the fixed-point tags with renormalisation are
 //! retained.
+//!
+//! The constant factors matter as much: a pick touches every bucket
+//! head and a wake queries the surplus of every running thread. Each
+//! per-task lookup (the task table here, the bucket queue's index) is
+//! an O(1) probe of an [`IdMap`] — one multiply to hash, no SipHash —
+//! and each surplus `φ·(S − v)` and tag step `q/φ` runs on the exact
+//! 64-bit fast path of [`Fixed`] rather than a 128-bit division.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::buckets::BucketQueue;
@@ -62,7 +68,7 @@ use crate::feasible::FeasibleWeights;
 use crate::fixed::{Fixed, SCALE};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
 use crate::shard::{PhiSnapshot, SnapshotCell};
-use crate::task::{CpuId, TagTask, TaskId, TaskState, TenantId, Weight};
+use crate::task::{CpuId, IdMap, TagTask, TaskId, TaskState, TenantId, Weight};
 use crate::time::{Duration, Time};
 
 /// A CPU-time duration on the fixed-point surplus scale.
@@ -138,7 +144,7 @@ struct Entry {
 pub struct Sfs {
     cfg: SfsConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, Entry>,
+    tasks: IdMap<Entry>,
     /// Per-weight-class count map + readjustment state (replacing the
     /// weight-descending queue #1 of §3.1).
     feas: FeasibleWeights,
@@ -196,7 +202,7 @@ impl Sfs {
         Sfs {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             feas: FeasibleWeights::new(cpus, true),
             buckets: BucketQueue::new(),
             v: Fixed::ZERO,

@@ -71,7 +71,7 @@ use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::policy::PolicySpec;
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, TenantId, Weight};
+use crate::task::{CpuId, IdMap, TaskId, TenantId, Weight};
 use crate::time::{Duration, Time};
 
 /// One published epoch of the machine-wide weight readjustment: the
@@ -252,7 +252,7 @@ struct BalTask {
 pub struct Balancer {
     feas: FeasibleWeights,
     cell: Arc<SnapshotCell>,
-    tasks: HashMap<TaskId, BalTask>,
+    tasks: IdMap<BalTask>,
     shard_phi: Vec<Fixed>,
     shard_cpus: Vec<u32>,
     /// Each tenant's home shard and its live task count. The anchor is
@@ -268,7 +268,7 @@ impl Balancer {
         Balancer {
             feas: FeasibleWeights::new(layout.cpus(), true),
             cell,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             shard_phi: vec![Fixed::ZERO; layout.shards()],
             shard_cpus: (0..layout.shards()).map(|s| layout.shard_cpus(s)).collect(),
             tenant_home: HashMap::new(),

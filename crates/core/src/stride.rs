@@ -12,13 +12,11 @@
 //! Variable-length quanta are charged proportionally:
 //! `pass += stride · q / Q_nominal`.
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::task::{CpuId, IdMap, TaskId, TaskState, Weight};
 use crate::time::{Duration, Time};
 
 /// The classic stride constant.
@@ -55,7 +53,7 @@ struct StrideTask {
 pub struct Stride {
     cfg: StrideConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, StrideTask>,
+    tasks: IdMap<StrideTask>,
     feas: FeasibleWeights,
     /// Ready+running tasks ordered by pass (ascending).
     pass_q: IndexedList,
@@ -91,7 +89,7 @@ impl Stride {
         Stride {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             feas: FeasibleWeights::new(cpus, readjust),
             pass_q: IndexedList::new(Order::Ascending),
             global_pass: Fixed::ZERO,

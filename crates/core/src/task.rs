@@ -1,7 +1,9 @@
 //! Task and processor identifiers and shared per-task scheduling state.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
 use core::num::NonZeroU64;
+use std::collections::{HashMap, HashSet};
 
 use crate::fixed::Fixed;
 use crate::time::{Duration, Time};
@@ -18,6 +20,64 @@ impl fmt::Display for TaskId {
         write!(f, "T{}", self.0)
     }
 }
+
+/// A multiplicative (Fx-style) hasher for [`TaskId`] keys.
+///
+/// Schedulers, the simulator and the executor only see ids the program
+/// allocated itself — the simulator's arena index, the executor's
+/// counter — so there the keyed, DoS-resistant SipHash of `std`'s
+/// default hasher buys nothing while costing tens of nanoseconds on
+/// every run-queue lookup. One multiply spreads consecutive ids over
+/// the table (the multiplier is odd, so the low bits a table indexes by
+/// stay a permutation of the id's low bits). No result depends on the
+/// resulting iteration order: every scheduler that walks an id map
+/// takes a minimum over a total order or applies a uniform shift (and
+/// SipHash's random keys already gave every map its own order).
+///
+/// Ids do come from input in `sfs-trace`, whose `EventTrace` can be
+/// parsed from a capture file. The hash is unkeyed and its low bits
+/// depend only on the id's low bits, so a hand-crafted file whose ids
+/// differ only in their high bits (say `k << 40`) puts them all in one
+/// probe chain. `EventTrace::validate`, which runs only on finished or
+/// loaded traces, therefore keeps `std`'s keyed hasher. The Perfetto
+/// encoder's name map sits on the live recording path and uses
+/// [`IdMap`]: there a crafted capture costs a quadratic, slow local
+/// encode, never a wrong result.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    /// The 64-bit Fx multiplier (an odd constant near 2⁶⁴/φ).
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
+/// A hash map keyed by [`TaskId`], hashed with [`IdHasher`]. Build with
+/// `IdMap::default()`.
+pub type IdMap<V> = HashMap<TaskId, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of [`TaskId`]s, hashed with [`IdHasher`]. Build with
+/// `IdSet::default()`.
+pub type IdSet = HashSet<TaskId, BuildHasherDefault<IdHasher>>;
 
 /// Identifies a tenant group in hierarchical scheduling.
 ///
@@ -205,6 +265,16 @@ mod tests {
         assert_eq!(t.phi, Fixed::from_int(2));
         assert_eq!(t.state, TaskState::Ready);
         assert_eq!(t.service, Duration::ZERO);
+    }
+
+    #[test]
+    fn id_hasher_spreads_consecutive_ids_over_low_bits() {
+        use core::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let low: HashSet<u64> = (0..256u64)
+            .map(|i| build.hash_one(TaskId(i)) & 0xff)
+            .collect();
+        assert_eq!(low.len(), 256, "low 8 bits must be a permutation");
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! lockstep with a fixed quantum, and tasks are CPU-bound unless the test
 //! blocks/wakes them explicitly.
 
-use std::collections::HashMap;
-
 use crate::sched::{Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, Weight};
+use crate::task::{CpuId, IdMap, TaskId, Weight};
 use crate::time::{Duration, Time};
 
 /// Lockstep test driver around any [`Scheduler`].
@@ -21,7 +19,7 @@ pub struct MiniSim<S: Scheduler> {
     /// Quantum granted on every dispatch.
     pub quantum: Duration,
     cpus: Vec<Option<TaskId>>,
-    service: HashMap<TaskId, Duration>,
+    service: IdMap<Duration>,
 }
 
 impl<S: Scheduler> MiniSim<S> {
@@ -33,7 +31,7 @@ impl<S: Scheduler> MiniSim<S> {
             now: Time::ZERO,
             quantum: Duration::from_millis(1),
             cpus: vec![None; n],
-            service: HashMap::new(),
+            service: IdMap::default(),
         }
     }
 

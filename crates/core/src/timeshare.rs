@@ -24,10 +24,8 @@
 //! * an O(t) scan of the ready list at every decision, like the original
 //!   `schedule()` loop.
 
-use std::collections::HashMap;
-
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TaskId, TaskState, Weight};
+use crate::task::{CpuId, IdMap, TaskId, TaskState, Weight};
 use crate::time::{Duration, Time};
 
 /// One timer tick; Linux 2.2 on x86 used 10 ms.
@@ -69,7 +67,7 @@ struct TsTask {
 pub struct TimeSharing {
     cfg: TimeSharingConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, TsTask>,
+    tasks: IdMap<TsTask>,
     stats: SchedStats,
 }
 
@@ -90,7 +88,7 @@ impl TimeSharing {
         TimeSharing {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             stats: SchedStats::default(),
         }
     }

@@ -13,13 +13,11 @@
 //! Supports the optional readjustment wrapper (§2.1) like the other
 //! baselines.
 
-use std::collections::HashMap;
-
 use crate::feasible::FeasibleWeights;
 use crate::fixed::Fixed;
 use crate::queues::{IndexedList, KeyCounter, NodeRef, Order};
 use crate::sched::{SchedStats, Scheduler, SwitchReason};
-use crate::task::{CpuId, TagTask, TaskId, TaskState, Weight};
+use crate::task::{CpuId, IdMap, TagTask, TaskId, TaskState, Weight};
 use crate::time::{Duration, Time};
 
 /// Tuning knobs for [`Wfq`].
@@ -50,7 +48,7 @@ struct Entry {
 pub struct Wfq {
     cfg: WfqConfig,
     cpus: u32,
-    tasks: HashMap<TaskId, Entry>,
+    tasks: IdMap<Entry>,
     feas: FeasibleWeights,
     /// Ready+running tasks ordered by precomputed finish tag.
     finish_q: IndexedList,
@@ -79,7 +77,7 @@ impl Wfq {
         Wfq {
             cfg,
             cpus,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             feas: FeasibleWeights::new(cpus, readjust),
             finish_q: IndexedList::new(Order::Ascending),
             start_tags: KeyCounter::new(),

@@ -33,7 +33,6 @@
 //! global lock vs per-shard locks — are preserved, even though the
 //! absolute numbers are userspace numbers.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -45,7 +44,7 @@ use sfs_core::admit::{AdmissionControl, AdmissionPolicy, RejectReason};
 use sfs_core::policy::PolicySpec;
 use sfs_core::sched::{select_preemption_victim, SchedStats, Scheduler, SwitchReason};
 use sfs_core::shard::{Balancer, ShardLayout, ShardedScheduler};
-use sfs_core::task::{CpuId, TaskId, TenantId, Weight};
+use sfs_core::task::{CpuId, IdMap, IdSet, TaskId, TenantId, Weight};
 use sfs_core::time::{Duration, Time};
 use sfs_trace::{CounterTrack, MigrateKind, TraceEvent, TraceRecorder};
 
@@ -134,11 +133,11 @@ struct ShardCore {
     /// First machine-wide CPU id of this shard (trace events report
     /// machine ids, not shard-local slots).
     cpu_base: u32,
-    tasks: HashMap<TaskId, Arc<RtTask>>,
+    tasks: IdMap<Arc<RtTask>>,
     /// Tasks currently blocked in this shard (event or timed sleep).
     /// With a balancer present, mutations additionally require the
     /// global lock, so wake/placement decisions are race-free.
-    blocked: HashSet<TaskId>,
+    blocked: IdSet,
     switches: u64,
 }
 
@@ -162,7 +161,7 @@ struct Global {
     bal: Option<Balancer>,
     /// Machine-wide task registry, so wake-by-id resolves with one
     /// global probe instead of scanning every shard's lock.
-    registry: HashMap<TaskId, Arc<RtTask>>,
+    registry: IdMap<Arc<RtTask>>,
     next_id: u64,
     live: usize,
     /// Admission control state (a spec's `admit(...)` clause), or
@@ -831,8 +830,8 @@ impl Executor {
                             layout.shard_cpus(s) as usize
                         ],
                         cpu_base: base,
-                        tasks: HashMap::new(),
-                        blocked: HashSet::new(),
+                        tasks: IdMap::default(),
+                        blocked: IdSet::default(),
                         switches: 0,
                     },
                 )
@@ -845,7 +844,7 @@ impl Executor {
                 rank::GLOBAL,
                 Global {
                     bal,
-                    registry: HashMap::new(),
+                    registry: IdMap::default(),
                     next_id: 1,
                     live: 0,
                     admit: admit.map(AdmissionControl::new),

@@ -32,9 +32,9 @@
 //!
 //! The output opens directly in <https://ui.perfetto.dev>.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use sfs_core::task::TaskId;
+use sfs_core::task::{IdMap, TaskId};
 
 use crate::event::{CounterTrack, EventTrace, TaskMeta, TraceError, TraceEvent, TraceMeta};
 
@@ -156,7 +156,7 @@ fn counter_track_key(track: CounterTrack) -> u64 {
 /// [`encode`] is a one-chunk wrapper over this type.
 pub struct Encoder {
     meta: TraceMeta,
-    names: HashMap<TaskId, String>,
+    names: IdMap<String>,
     counters_declared: BTreeSet<u64>,
     header_done: bool,
 }
@@ -166,7 +166,7 @@ impl Encoder {
     pub fn new(meta: TraceMeta) -> Encoder {
         Encoder {
             meta,
-            names: HashMap::new(),
+            names: IdMap::default(),
             counters_declared: BTreeSet::new(),
             header_done: false,
         }
