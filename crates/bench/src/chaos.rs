@@ -14,8 +14,7 @@
 //!   rogue's flood is cut to 4 live tasks; the §2.1 release on each
 //!   rejection returns the refused weight immediately. Reported: the
 //!   worst well-behaved tenant's share error, the flat-SFS no-armor
-//!   baseline, and the rejection count. CI fails if the armored error
-//!   ever exceeds the flat baseline or drifts above 0.02.
+//!   baseline, and the rejection count.
 //! * **Faults.** A seeded [`FaultPlan`] (task panics, CPU stalls,
 //!   timer jitter, dropped wakeups) injected into a simulator run.
 //!   Every fault must be recovered — panicked tasks reaped with their
@@ -24,6 +23,14 @@
 //! * **Replay.** The faulted, admission-gated run is captured and
 //!   re-driven; the context-switch sequences must match exactly, i.e.
 //!   chaos is as deterministic as everything else in the simulator.
+//!
+//! The artefact is also a **gate**: [`ExpResult::failed`] is set, and
+//! the `repro` driver exits non-zero, unless every injected fault
+//! (at least one) was recovered, no invariant audit failed, admission
+//! rejected something, and the armored well-behaved share error stays
+//! within 0.02 of the flat baseline.
+
+use std::fmt::Write as _;
 
 use sfs_core::fault::FaultPlan;
 use sfs_core::policy::{GroupSpec, PolicySpec};
@@ -203,6 +210,33 @@ pub fn run(effort: Effort) -> ExpResult {
         replay.captured.len(),
         replay.sequences_match(),
     ));
+
+    // The gate: every bound must hold, or `repro` exits non-zero.
+    let bounds = [
+        ("faults injected > 0", health.faults_injected > 0),
+        (
+            "faults recovered == injected",
+            health.faults_recovered == health.faults_injected,
+        ),
+        (
+            "invariant violations == 0",
+            health.invariant_violations == 0,
+        ),
+        ("admission rejected > 0", armored.health.rejected > 0),
+        // 0.02: quantum-granularity noise; the armor's point is that
+        // armored sits far below flat here (≈0.001 against ≈0.245).
+        (
+            "armored share error <= flat + 0.02",
+            worst_armored <= worst_flat + 0.02,
+        ),
+    ];
+    let mut gate = String::from("Gate:\n");
+    for (bound, held) in bounds {
+        let _ = writeln!(gate, "  {bound:<36} {}", if held { "ok" } else { "FAILED" });
+        res.failed |= !held;
+    }
+    res.section(&gate);
+    res.finding("gate", if res.failed { "FAIL" } else { "pass" }.to_string());
     res
 }
 
@@ -263,5 +297,6 @@ mod tests {
         );
         let json = res.summary_json();
         assert!(json.contains("\"id\": \"chaos\""), "{json}");
+        assert!(!res.failed, "chaos gate must pass:\n{}", res.text);
     }
 }

@@ -317,22 +317,23 @@ pub trait Scheduler: Send {
 /// [`Scheduler::wake_preempts`]), the *worst* victim — the one with
 /// the largest charged surplus (lowest priority). For policies that
 /// expose no surplus, the first eligible processor is kept (their
-/// `wake_preempts` is all-or-nothing anyway). Candidates are
-/// `(slot, running task, time on CPU)` triples; returns the winning
-/// `(slot, running task)`.
+/// `wake_preempts` is all-or-nothing anyway). `running` yields one
+/// `(slot, running task, time on CPU)` triple per busy processor, in
+/// slot order; the result is the winning `(slot, running task)`.
 ///
 /// Shared by both substrates so the victim rule cannot drift between
-/// them: the simulator's `preempt_check` and the rt executor's wake
-/// paths both call this.
+/// them: the simulator's `preempt_check` and the rt executor's
+/// `flag_wake_preemption` each pass an iterator over their own CPU
+/// slots, so a wakeup collects no candidate list.
 pub fn select_preemption_victim(
     sched: &dyn Scheduler,
     woken: TaskId,
-    candidates: &[(usize, TaskId, Duration)],
+    running: impl IntoIterator<Item = (usize, TaskId, Duration)>,
     now: Time,
 ) -> Option<(usize, TaskId)> {
     let mut worst: Option<(Fixed, usize, TaskId)> = None;
     let mut first: Option<(usize, TaskId)> = None;
-    for &(slot, running, ran) in candidates {
+    for (slot, running, ran) in running {
         if !sched.wake_preempts(woken, running, ran, now) {
             continue;
         }

@@ -46,7 +46,7 @@ use sfs_core::sched::{select_preemption_victim, SchedStats, Scheduler, SwitchRea
 use sfs_core::shard::{Balancer, ShardLayout, ShardedScheduler};
 use sfs_core::task::{CpuId, IdMap, IdSet, TaskId, TenantId, Weight};
 use sfs_core::time::{Duration, Time};
-use sfs_trace::{CounterTrack, MigrateKind, TraceEvent, TraceRecorder};
+use sfs_trace::{CounterSample, CounterTrack, MigrateKind, TraceEvent, TraceRecorder};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -150,6 +150,14 @@ impl ShardCore {
 
     fn slot_of(&self, id: TaskId) -> Option<usize> {
         self.cpus.iter().position(|c| c.current == Some(id))
+    }
+
+    /// `(local slot, task, time on CPU)` for every occupied CPU slot.
+    fn running(&self) -> impl Iterator<Item = (usize, TaskId, Duration)> + '_ {
+        self.cpus.iter().enumerate().filter_map(|(i, slot)| {
+            slot.current
+                .map(|id| (i, id, Duration::from_std(slot.dispatched_at.elapsed())))
+        })
     }
 }
 
@@ -328,17 +336,8 @@ impl Inner {
             return;
         }
         let now = self.now();
-        let candidates: Vec<(usize, TaskId, Duration)> = core
-            .cpus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.current
-                    .map(|id| (i, id, Duration::from_std(slot.dispatched_at.elapsed())))
-            })
-            .collect();
         if let Some((slot, victim)) =
-            select_preemption_victim(core.sched.as_ref(), woken, &candidates, now)
+            select_preemption_victim(core.sched.as_ref(), woken, core.running(), now)
         {
             if self.trace.on() {
                 self.trace.emit(TraceEvent::PreemptEvict {
@@ -353,16 +352,17 @@ impl Inner {
     }
 
     /// Moves a ready (or still-blocked, at wake migration) task between
-    /// two locked shards: policy detach/attach, task-map transfer, and
-    /// the task's shard index. Balancer accounting is the caller's
-    /// (steals call [`Balancer::migrate`]; wake placement was already
-    /// accounted by [`Balancer::wake`]).
+    /// two locked shards: policy detach/attach, task-map transfer, the
+    /// task's shard index, and the `Migrate` trace event. Balancer
+    /// accounting is the caller's (steals and rebalances call
+    /// [`Balancer::migrate`]; wake placement was already accounted by
+    /// [`Balancer::wake`]).
     fn move_task_locked(
         &self,
         from: &mut ShardCore,
-        to_idx: usize,
         to: &mut ShardCore,
         id: TaskId,
+        kind: MigrateKind,
     ) {
         let now = self.now();
         // invariant: migration candidates come from `from`'s own
@@ -371,9 +371,18 @@ impl Inner {
         let w = from.sched.weight_of(id).expect("migrating stranger");
         from.sched.detach(id, now);
         let arc = from.tasks.remove(&id).expect("task map out of sync"); // invariant: same lock scope as above
-        arc.shard.store(to_idx, Ordering::Release);
+        arc.shard.store(to.index, Ordering::Release);
         to.tasks.insert(id, arc);
         to.sched.attach(id, w, now);
+        if self.trace.on() {
+            self.trace.emit(TraceEvent::Migrate {
+                t: now.as_nanos(),
+                task: id,
+                from_shard: from.index as u32,
+                to_shard: to.index as u32,
+                kind,
+            });
+        }
     }
 
     /// Steal-on-idle (sharded only; caller holds the global lock):
@@ -406,17 +415,8 @@ impl Inner {
                 continue;
             }
             bal.migrate(id, s);
-            self.move_task_locked(&mut f, s, &mut t, id);
+            self.move_task_locked(&mut f, &mut t, id, MigrateKind::Steal);
             drop(f);
-            if self.trace.on() {
-                self.trace.emit(TraceEvent::Migrate {
-                    t: self.now().as_nanos(),
-                    task: id,
-                    from_shard: o as u32,
-                    to_shard: s as u32,
-                    kind: MigrateKind::Steal,
-                });
-            }
             self.dispatch(&mut t);
             self.flag_wake_preemption(&t, id);
             self.steals.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
@@ -424,96 +424,98 @@ impl Inner {
         }
     }
 
-    /// Blocks the calling task: releases its CPU, records it blocked,
-    /// and (when sharded) removes it from the global runnable set and
-    /// offers the freed CPU a stolen task. The caller parks on
+    /// Blocks the calling task, whose own shard `s` is locked in `core`
+    /// (and, when sharded, the global section in `global`): releases
+    /// its CPU, records it blocked, removes it from the balancer's
+    /// runnable set, and refills the freed CPU
+    /// ([`Inner::refill_released`]). The caller parks on
     /// `wait_granted` afterwards.
-    fn block_current(&self, task: &Arc<RtTask>) {
-        let mut global = self.sharded().then(|| self.global.lock());
-        let (s, mut core) = self.lock_own_shard(task);
-        self.stop_running(&mut core, task.id, SwitchReason::Blocked);
+    fn block_locked(
+        &self,
+        mut global: Option<OrderedGuard<'_, Global>>,
+        s: usize,
+        mut core: OrderedGuard<'_, ShardCore>,
+        id: TaskId,
+    ) {
+        self.stop_running(&mut core, id, SwitchReason::Blocked);
         if let Some(bal) = global.as_mut().and_then(|g| g.bal.as_mut()) {
-            bal.block(task.id);
+            bal.block(id);
         }
+        self.refill_released(global.as_deref_mut(), s, core);
+    }
+
+    /// The tail of every event that frees a CPU of shard `s` (block or
+    /// exit): dispatch on the shard, then — sharded, with the global
+    /// lock held — offer a CPU that is still idle a stolen task. The
+    /// shard lock is released before stealing, which locks donor
+    /// shards pairwise.
+    fn refill_released(
+        &self,
+        global: Option<&mut Global>,
+        s: usize,
+        mut core: OrderedGuard<'_, ShardCore>,
+    ) {
         self.dispatch(&mut core);
         let idle = core.cpus.iter().any(|c| c.current.is_none());
         drop(core);
         if idle {
-            if let Some(g) = global.as_mut() {
+            if let Some(g) = global {
                 self.steal_on_idle(g, s);
             }
         }
     }
 
+    /// [`Inner::wake_blocked`] by id (the wake-task API): the task is
+    /// resolved with one global-registry probe instead of scanning
+    /// every shard's lock, and an unknown id is not blocked.
+    fn wake_id(&self, id: TaskId) -> bool {
+        let task = self.global.lock().registry.get(&id).cloned();
+        task.is_some_and(|task| self.wake_blocked(&task))
+    }
+
     /// Wakes a blocked task, letting the balancer place it (sticky to
-    /// its home shard unless that shard is overloaded). Returns `false`
-    /// if the task was not blocked.
+    /// its home shard unless that shard is overloaded; an unsharded
+    /// executor has no balancer and always wakes at home). Returns
+    /// `false` if the task was not blocked.
+    ///
+    /// Lock order: the global section (sharded only — an unsharded
+    /// wake takes just its shard lock), then the home shard, then, for
+    /// a migrating wake, the home/target pair through [`lock_pair`].
     fn wake_blocked(&self, task: &Arc<RtTask>) -> bool {
         let now = self.now();
-        if !self.sharded() {
-            let mut core = self.shards[0].lock();
-            if !core.blocked.remove(&task.id) {
-                return false;
-            }
-            core.sched.wake(task.id, now);
-            if self.trace.on() {
-                self.trace.emit(TraceEvent::Wake {
-                    t: now.as_nanos(),
-                    task: task.id,
-                });
-            }
-            self.dispatch(&mut core);
-            self.flag_wake_preemption(&core, task.id);
-            return true;
-        }
-        let mut global = self.global.lock();
-        // Blocked tasks never migrate, so the home index is stable
-        // while we hold the global lock (all blocked-set transitions
-        // take it too).
+        let mut global = self.sharded().then(|| self.global.lock());
+        // Blocked tasks never migrate and every blocked-set transition
+        // holds the lock taken first here, so the home index is stable.
         let home = task.shard.load(Ordering::Acquire);
-        {
-            let core = self.shards[home].lock();
-            if !core.blocked.contains(&task.id) {
-                return false;
-            }
+        let mut core = self.shards[home].lock();
+        if !core.blocked.remove(&task.id) {
+            return false;
         }
-        // invariant: sharded() was true above, and sharded executors
-        // are always constructed with a balancer (from_parts).
-        let bal = global.bal.as_mut().expect("sharded executor has balancer");
-        let (_, target) = bal.wake(task.id);
+        let target = match global.as_mut().and_then(|g| g.bal.as_mut()) {
+            Some(bal) => bal.wake(task.id).1,
+            None => home,
+        };
         if self.trace.on() {
             self.trace.emit(TraceEvent::Wake {
                 t: now.as_nanos(),
                 task: task.id,
             });
-            if target != home {
-                self.trace.emit(TraceEvent::Migrate {
-                    t: now.as_nanos(),
-                    task: task.id,
-                    from_shard: home as u32,
-                    to_shard: target as u32,
-                    kind: MigrateKind::Wake,
-                });
-            }
         }
-        if target == home {
-            let mut core = self.shards[home].lock();
-            core.blocked.remove(&task.id);
+        let mut core = if target == home {
             core.sched.wake(task.id, now);
-            self.dispatch(&mut core);
-            self.flag_wake_preemption(&core, task.id);
+            core
         } else {
             // Overloaded home shard: re-admit the waker on the target
             // shard instead (fresh tags there, like any migration).
             // `Balancer::wake` already accounted the placement.
+            drop(core);
             self.wake_migrations.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
             let (mut from, mut to) = self.lock_two(home, target);
-            from.blocked.remove(&task.id);
-            self.move_task_locked(&mut from, target, &mut to, task.id);
-            drop(from);
-            self.dispatch(&mut to);
-            self.flag_wake_preemption(&to, task.id);
-        }
+            self.move_task_locked(&mut from, &mut to, task.id, MigrateKind::Wake);
+            to
+        };
+        self.dispatch(&mut core);
+        self.flag_wake_preemption(&core, task.id);
         true
     }
 
@@ -544,17 +546,8 @@ impl Inner {
             };
             debug_assert_eq!((pf, pt), (from, to), "loads moved under the global lock");
             bal.migrate(id, to);
-            self.move_task_locked(&mut f, to, &mut t, id);
+            self.move_task_locked(&mut f, &mut t, id, MigrateKind::Rebalance);
             drop(f);
-            if self.trace.on() {
-                self.trace.emit(TraceEvent::Migrate {
-                    t: self.now().as_nanos(),
-                    task: id,
-                    from_shard: from as u32,
-                    to_shard: to as u32,
-                    kind: MigrateKind::Rebalance,
-                });
-            }
             self.dispatch(&mut t);
             self.rebalances.fetch_add(1, Ordering::Relaxed); // relaxed: stats counter
         }
@@ -674,8 +667,8 @@ impl TaskCtx {
                 return;
             }
             {
-                let mut global = self.inner.sharded().then(|| self.inner.global.lock());
-                let (s, mut core) = self.inner.lock_own_shard(&self.task);
+                let global = self.inner.sharded().then(|| self.inner.global.lock());
+                let (s, core) = self.inner.lock_own_shard(&self.task);
                 // Re-check under the locks: the producer sets the
                 // token before taking them on its wake path.
                 if token.swap(false, Ordering::AcqRel) {
@@ -686,19 +679,7 @@ impl TaskCtx {
                 if self.inner.stop_requested.load(Ordering::Relaxed) {
                     return;
                 }
-                self.inner
-                    .stop_running(&mut core, self.task.id, SwitchReason::Blocked);
-                if let Some(bal) = global.as_mut().and_then(|g| g.bal.as_mut()) {
-                    bal.block(self.task.id);
-                }
-                self.inner.dispatch(&mut core);
-                let idle = core.cpus.iter().any(|c| c.current.is_none());
-                drop(core);
-                if idle {
-                    if let Some(g) = global.as_mut() {
-                        self.inner.steal_on_idle(g, s);
-                    }
-                }
+                self.inner.block_locked(global, s, core, self.task.id);
             }
             self.task.wait_granted();
         }
@@ -708,29 +689,20 @@ impl TaskCtx {
     /// blocked task). Returns `true` if the task was blocked. The
     /// producer must set its token *before* calling this.
     pub fn wake_task(&self, id: TaskId) -> bool {
-        let Some(task) = self.inner.find_task(id) else {
-            return false;
-        };
-        self.inner.wake_blocked(&task)
+        self.inner.wake_id(id)
     }
 
     /// Blocks (releases the virtual CPU) for the given duration — the
     /// userspace analogue of sleeping on I/O.
     pub fn block_for(&self, d: Duration) {
-        self.inner.block_current(&self.task);
+        let global = self.inner.sharded().then(|| self.inner.global.lock());
+        let (s, core) = self.inner.lock_own_shard(&self.task);
+        self.inner.block_locked(global, s, core, self.task.id);
         thread::sleep(d.to_std());
         // `stop()` or `wake_task` may have woken us already; only
         // report the wakeup if we are still blocked.
         self.inner.wake_blocked(&self.task);
         self.task.wait_granted();
-    }
-}
-
-impl Inner {
-    /// Looks a task up by id (wake-by-id API): one global-registry
-    /// probe instead of scanning every shard's lock.
-    fn find_task(&self, id: TaskId) -> Option<Arc<RtTask>> {
-        self.global.lock().registry.get(&id).cloned()
     }
 }
 
@@ -918,10 +890,7 @@ impl Executor {
                 next = now + interval;
             }
             let tracing = inner.trace.on();
-            let mut runnable = 0usize;
-            let mut readjust = (0u64, 0u64);
-            let mut max_surplus: Option<f64> = None;
-            let mut min_phi: Option<f64> = None;
+            let mut sample = CounterSample::default();
             let mut expired: Vec<Arc<RtTask>> = Vec::new();
             for (si, shard) in inner.shards.iter().enumerate() {
                 let occupied;
@@ -932,44 +901,16 @@ impl Executor {
                     occupied = core.cpus.iter().filter(|c| c.current.is_some()).count();
                     waiting = core.sched.nr_runnable() > 0;
                     if tracing {
-                        let t = inner.now().as_nanos();
+                        let now = inner.now();
                         inner.trace.emit(TraceEvent::Counter {
-                            t,
+                            t: now.as_nanos(),
                             track: CounterTrack::LockWaitNs,
                             value: wait_start.elapsed().as_nanos() as f64,
                         });
-                        runnable += core.sched.nr_runnable();
-                        let stats = core.sched.stats();
-                        readjust.0 += stats.readjust_calls;
-                        readjust.1 += stats.weights_clamped;
-                        if si == 0 {
-                            if let Some(v) = core.sched.virtual_time() {
-                                inner.trace.emit(TraceEvent::Counter {
-                                    t,
-                                    track: CounterTrack::VirtualTime,
-                                    value: v.to_f64(),
-                                });
-                            }
-                        }
+                        sample.add_queue(core.sched.as_ref(), core.running(), now);
                     }
-                    for slot in &core.cpus {
-                        let Some(id) = slot.current else { continue };
-                        let ran = Duration::from_std(slot.dispatched_at.elapsed());
-                        if tracing {
-                            // Worst running surplus / smallest running φ
-                            // across every shard's occupied slots, the
-                            // same §2.2 picture the simulator samples.
-                            let rt_now = inner.now();
-                            if let Some(s) = core.sched.charged_surplus(id, ran, rt_now) {
-                                let s = s.to_f64();
-                                max_surplus = Some(max_surplus.map_or(s, |m| m.max(s)));
-                            }
-                            if let Some(phi) = core.sched.adjusted_weight_of(id) {
-                                let phi = phi.to_f64();
-                                min_phi = Some(min_phi.map_or(phi, |m| m.min(phi)));
-                            }
-                        }
-                        if ran >= slot.slice {
+                    for (slot, id, ran) in core.running() {
+                        if ran >= core.cpus[slot].slice {
                             expired.push(Arc::clone(core.task(id)));
                         }
                     }
@@ -1020,34 +961,9 @@ impl Executor {
                 }
             }
             if tracing {
-                let t = inner.now().as_nanos();
-                inner.trace.emit(TraceEvent::Counter {
-                    t,
-                    track: CounterTrack::Runnable,
-                    value: runnable as f64,
+                sample.emit(inner.now().as_nanos(), &mut last_readjust, |ev| {
+                    inner.trace.emit(ev);
                 });
-                if let Some(value) = max_surplus {
-                    inner.trace.emit(TraceEvent::Counter {
-                        t,
-                        track: CounterTrack::MaxRunSurplus,
-                        value,
-                    });
-                }
-                if let Some(value) = min_phi {
-                    inner.trace.emit(TraceEvent::Counter {
-                        t,
-                        track: CounterTrack::MinRunPhi,
-                        value,
-                    });
-                }
-                if readjust != last_readjust {
-                    inner.trace.emit(TraceEvent::Readjust {
-                        t,
-                        calls: readjust.0.saturating_sub(last_readjust.0),
-                        clamped: readjust.1.saturating_sub(last_readjust.1),
-                    });
-                    last_readjust = readjust;
-                }
             }
             if inner.sharded() && Instant::now() >= next_rebalance {
                 next_rebalance = Instant::now() + rebalance_every;
@@ -1195,7 +1111,7 @@ impl Executor {
                 let panicked = result.is_err();
                 {
                     let mut global = inner.global.lock();
-                    let (_, mut core) = inner.lock_own_shard(&task2);
+                    let (s, mut core) = inner.lock_own_shard(&task2);
                     core.blocked.remove(&task2.id);
                     if core.slot_of(task2.id).is_some() {
                         inner.stop_running(&mut core, task2.id, SwitchReason::Exited);
@@ -1237,15 +1153,7 @@ impl Executor {
                     core.tasks.remove(&task2.id);
                     global.registry.remove(&task2.id);
                     global.live -= 1;
-                    inner.dispatch(&mut core);
-                    let s = task2.shard.load(Ordering::Acquire);
-                    let idle = core.cpus.iter().any(|c| c.current.is_none());
-                    drop(core);
-                    if idle {
-                        // The exit may have freed a CPU: offer it a
-                        // stolen task before it idles.
-                        inner.steal_on_idle(&mut global, s);
-                    }
+                    inner.refill_released(Some(&mut global), s, core);
                     inner.idle_cv.notify_all();
                 }
                 if let Err(p) = result {
@@ -1309,10 +1217,7 @@ impl Executor {
     /// spawning thread kicking off a token ring). Returns `true` if the
     /// task was blocked.
     pub fn wake_task(&self, id: TaskId) -> bool {
-        let Some(task) = self.inner.find_task(id) else {
-            return false;
-        };
-        self.inner.wake_blocked(&task)
+        self.inner.wake_id(id)
     }
 
     /// Current time since executor start.
@@ -1741,6 +1646,50 @@ mod tests {
         );
         a.join();
         b.join();
+    }
+
+    #[test]
+    fn wake_task_results_on_both_shapes() {
+        let cfg = RtConfig {
+            cpus: 2,
+            timer_interval: Duration::from_micros(200),
+        };
+        let sharded: PolicySpec = "sfs:quantum=2ms,shards=2".parse().unwrap();
+        for ex in [
+            Executor::new(cfg.clone(), small_sfs(2)),
+            Executor::from_spec(cfg, &sharded),
+        ] {
+            let shards = ex.shards();
+            assert!(!ex.wake_task(TaskId(999)), "{shards} shard(s): unknown id");
+            let spinner = ex.spawn("spinner", weight(1), spin);
+            assert!(
+                !ex.wake_task(spinner.id()),
+                "{shards} shard(s): a runnable task is not blocked"
+            );
+            let token = Arc::new(AtomicBool::new(false));
+            let tok = Arc::clone(&token);
+            let parked = ex.spawn("parked", weight(1), move |ctx| ctx.block_on_token(&tok));
+            // The body never checkpoints, so it first gives up its CPU
+            // — and is first charged service — when it parks, after
+            // its under-lock token check. Setting the token earlier
+            // could let it pass the fast path and never park.
+            while parked.service() == Duration::ZERO {
+                std::hint::spin_loop();
+            }
+            token.store(true, Ordering::Release);
+            assert!(
+                ex.wake_task(parked.id()),
+                "{shards} shard(s): a parked task wakes"
+            );
+            assert!(
+                !ex.wake_task(parked.id()),
+                "{shards} shard(s): a woken task is no longer blocked"
+            );
+            parked.join();
+            ex.stop();
+            ex.wait();
+            spinner.join();
+        }
     }
 
     #[test]

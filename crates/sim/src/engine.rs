@@ -25,13 +25,14 @@
 //! * per-task state lives in a struct-of-arrays `TaskArena` indexed
 //!   by dense [`TaskId`]s, so the hot handlers touch one flat `Vec`
 //!   lane per field instead of chasing a `HashMap` entry;
-//! * all arrival/wake events sharing a tick are drained as one batch
-//!   and applied through [`Scheduler::arrive_batch`] /
-//!   [`Scheduler::wake_batch`] — consecutive same-operation runs are
-//!   grouped (never reordered across a detach or across an op change,
-//!   which keeps the scheduler-call order event-equivalent to per-item
-//!   application), and the batch pays one dispatch sweep instead of one
-//!   per event.
+//! * all arrival/wake events sharing a tick — a lone one included —
+//!   are drained as one batch and applied through
+//!   [`Scheduler::arrive_batch`] / [`Scheduler::wake_batch`] (a batch
+//!   of one forwards to the single-item call) — consecutive
+//!   same-operation runs are grouped (never reordered across a detach
+//!   or across an op change, which keeps the scheduler-call order
+//!   event-equivalent to per-item application), and the batch pays one
+//!   dispatch sweep instead of one per event.
 
 use sfs_core::admit::{AdmissionControl, AdmissionPolicy};
 use sfs_core::fault::{FaultKind, FaultPlan};
@@ -39,7 +40,7 @@ use sfs_core::gms::FluidGms;
 use sfs_core::sched::{select_preemption_victim, Scheduler, SwitchReason};
 use sfs_core::task::{CpuId, TaskId, TenantId, Weight};
 use sfs_core::time::{Duration, Time};
-use sfs_trace::{CounterTrack, TraceEvent, TraceRecorder};
+use sfs_trace::{CounterSample, TraceEvent, TraceRecorder};
 use sfs_workloads::{Behavior, BehaviorSpec, Phase};
 
 use crate::trace::{RunHealth, SimReport, TaskLabel, Trace};
@@ -232,6 +233,19 @@ struct StreamState {
     spawned: u64,
 }
 
+/// Reusable buffers of [`Simulator::on_tick_batch`], kept on the
+/// simulator so applying a batch — usually a lone arrival or wake —
+/// allocates nothing.
+#[derive(Default)]
+struct TickScratch {
+    /// Tasks the batch made runnable, in event order.
+    made_runnable: Vec<TaskId>,
+    /// The pending run of scheduler attaches.
+    attaches: Vec<(TaskId, Weight, Option<TenantId>)>,
+    /// The pending run of scheduler wakes.
+    wakes: Vec<TaskId>,
+}
+
 /// The discrete-event simulator.
 pub struct Simulator {
     cfg: SimConfig,
@@ -270,6 +284,7 @@ pub struct Simulator {
     faults_injected: u64,
     faults_recovered: u64,
     invariant_violations: u64,
+    tick: TickScratch,
 }
 
 impl Simulator {
@@ -314,6 +329,7 @@ impl Simulator {
             faults_injected: 0,
             faults_recovered: 0,
             invariant_violations: 0,
+            tick: TickScratch::default(),
         };
         let first_sample = sim.cfg.sample_every;
         sim.post(Time::ZERO + first_sample, EvKind::Sample);
@@ -517,15 +533,7 @@ impl Simulator {
                         self.events_processed += 1;
                         batch.push(k2);
                     }
-                    if batch.len() == 1 {
-                        match batch[0].clone() {
-                            EvKind::Arrive(idx) => self.on_arrive(idx),
-                            EvKind::Wake(id) => self.on_wake(id),
-                            _ => unreachable!(),
-                        }
-                    } else {
-                        self.on_tick_batch(&batch);
-                    }
+                    self.on_tick_batch(&batch);
                 }
                 EvKind::Kill(idx) => self.on_kill(idx),
                 EvKind::CpuTimer { cpu, token } => self.on_cpu_timer(cpu, token),
@@ -632,33 +640,24 @@ impl Simulator {
         }
     }
 
-    fn on_arrive(&mut self, idx: usize) {
-        if let Some(id) = self.admit_arrival(idx) {
-            self.continue_task(id);
-        }
-    }
-
-    /// Applies a same-tick run of arrival/wake events as one batch:
-    /// each event resolves its task's next phase in event order, with
-    /// the scheduler insertions deferred and grouped into maximal
-    /// consecutive same-operation runs ([`Scheduler::arrive_batch`] /
-    /// [`Scheduler::wake_batch`]). A detach (a task exiting mid-batch)
-    /// flushes the pending run first, so the scheduler observes every
-    /// mutation in exact event order — only *consecutive identical*
-    /// operations are fused. One dispatch sweep runs after the batch,
-    /// then wake preemption is checked per made-runnable task in event
-    /// order.
+    /// Applies a same-tick run of arrival/wake events — one event or
+    /// many — as one batch: each event resolves its task's next phase
+    /// in event order, with the scheduler insertions deferred and
+    /// grouped into maximal consecutive same-operation runs
+    /// ([`Scheduler::arrive_batch`] / [`Scheduler::wake_batch`]). A
+    /// detach (a task exiting mid-batch) flushes the pending run first,
+    /// so the scheduler observes every mutation in exact event order —
+    /// only *consecutive identical* operations are fused. If the batch
+    /// made any task runnable, one dispatch sweep follows, then wake
+    /// preemption is checked per made-runnable task in event order.
     fn on_tick_batch(&mut self, batch: &[EvKind]) {
-        let mut made_runnable: Vec<TaskId> = Vec::with_capacity(batch.len());
-        let mut attaches: Vec<(TaskId, Weight, Option<TenantId>)> = Vec::new();
-        let mut wakes: Vec<TaskId> = Vec::new();
+        let mut tick = std::mem::take(&mut self.tick);
         for ev in batch {
-            match *ev {
-                EvKind::Arrive(idx) => {
-                    if let Some(id) = self.admit_arrival(idx) {
-                        self.resolve_batched(id, &mut attaches, &mut wakes, &mut made_runnable);
-                    }
-                }
+            let id = match *ev {
+                EvKind::Arrive(idx) => match self.admit_arrival(idx) {
+                    Some(id) => id,
+                    None => continue, // rejected
+                },
                 EvKind::Wake(id) => {
                     if self.tasks.state[TaskArena::idx(id)] != TState::Sleeping {
                         continue; // killed or already woken
@@ -666,17 +665,27 @@ impl Simulator {
                     if self.delay_dropped_wake(id) {
                         continue;
                     }
-                    self.resolve_batched(id, &mut attaches, &mut wakes, &mut made_runnable);
+                    id
                 }
                 _ => unreachable!("only arrivals and wakes batch"),
+            };
+            self.resolve_batched(id, &mut tick);
+        }
+        self.flush_attaches(&mut tick.attaches);
+        self.flush_wakes(&mut tick.wakes);
+        // Sweep only when something became runnable: a sweep that
+        // picks nothing is not inert, since a sharded policy's
+        // `pick_next` also runs its time-triggered rebalance.
+        if !tick.made_runnable.is_empty() {
+            for cpu in 0..self.cpus.len() {
+                self.dispatch(cpu);
             }
+            for &id in &tick.made_runnable {
+                self.preempt_check(id);
+            }
+            tick.made_runnable.clear();
         }
-        self.flush_attaches(&mut attaches);
-        self.flush_wakes(&mut wakes);
-        self.dispatch_all();
-        for id in made_runnable {
-            self.preempt_check(id);
-        }
+        self.tick = tick;
     }
 
     fn flush_attaches(&mut self, buf: &mut Vec<(TaskId, Weight, Option<TenantId>)>) {
@@ -695,18 +704,12 @@ impl Simulator {
         buf.clear();
     }
 
-    /// The batched counterpart of [`Simulator::continue_task`]: resolves
-    /// the task's next phase and, if it becomes runnable, queues the
+    /// Resolves the next phase of an arriving or waking task and moves
+    /// it into the right state. A task that becomes runnable queues its
     /// scheduler insertion in the pending same-operation run (flushing
     /// the *other* operation's run first, so at most one is ever
     /// pending and the scheduler-call order is preserved).
-    fn resolve_batched(
-        &mut self,
-        id: TaskId,
-        attaches: &mut Vec<(TaskId, Weight, Option<TenantId>)>,
-        wakes: &mut Vec<TaskId>,
-        made_runnable: &mut Vec<TaskId>,
-    ) {
+    fn resolve_batched(&mut self, id: TaskId, tick: &mut TickScratch) {
         let i = TaskArena::idx(id);
         match self.resolve_next_phase(id) {
             Resolved::Compute(d) => {
@@ -714,16 +717,16 @@ impl Simulator {
                 self.tasks.last_wake[i] = self.now;
                 self.tasks.awaiting_response[i] = true;
                 if self.tasks.attached[i] {
-                    self.flush_attaches(attaches);
-                    wakes.push(id);
+                    self.flush_attaches(&mut tick.attaches);
+                    tick.wakes.push(id);
                     if let Some(g) = &mut self.gms {
                         g.set_runnable(id, true);
                     }
                 } else {
-                    self.flush_wakes(wakes);
+                    self.flush_wakes(&mut tick.wakes);
                     let weight = self.tasks.weight[i];
                     let tenant = self.tasks.tenant[i];
-                    attaches.push((id, weight, tenant));
+                    tick.attaches.push((id, weight, tenant));
                     self.tasks.attached[i] = true;
                     if let Some(g) = &mut self.gms {
                         g.add(id, weight, true);
@@ -736,7 +739,7 @@ impl Simulator {
                         task: id,
                     });
                 }
-                made_runnable.push(id);
+                tick.made_runnable.push(id);
             }
             Resolved::Sleep(until) => {
                 self.tasks.state[i] = TState::Sleeping;
@@ -746,8 +749,8 @@ impl Simulator {
                 if self.tasks.attached[i] {
                     // The detach must hit the scheduler at its exact
                     // position in the event order.
-                    self.flush_attaches(attaches);
-                    self.flush_wakes(wakes);
+                    self.flush_attaches(&mut tick.attaches);
+                    self.flush_wakes(&mut tick.wakes);
                     self.sched.detach(id, self.now);
                 }
                 self.finish_task(id);
@@ -778,16 +781,6 @@ impl Simulator {
                 self.finish_task(id);
             }
         }
-    }
-
-    fn on_wake(&mut self, id: TaskId) {
-        if self.tasks.state[TaskArena::idx(id)] != TState::Sleeping {
-            return; // killed or already woken
-        }
-        if self.delay_dropped_wake(id) {
-            return;
-        }
-        self.continue_task(id);
     }
 
     /// If an injected [`FaultKind::WakeDrop`] is pending for the task,
@@ -991,22 +984,13 @@ impl Simulator {
 
     fn on_sample(&mut self) {
         if !self.cfg.lean {
-            let in_flight: Vec<(TaskId, Duration)> = self
-                .cpus
-                .iter()
-                .filter_map(|c| c.current.map(|id| (id, self.now.since(c.dispatched_at))))
-                .collect();
             for i in 0..self.tasks.len() {
-                if self.tasks.state[i] == TState::Exited {
-                    continue;
-                }
-                let id = TaskId(i as u64 + 1);
-                let extra = in_flight
-                    .iter()
-                    .find(|(other, _)| *other == id)
-                    .map(|(_, d)| *d)
-                    .unwrap_or(Duration::ZERO);
-                self.trace.sample(id, self.now, extra);
+                let in_flight = match self.tasks.state[i] {
+                    TState::Exited => continue,
+                    TState::Running(cpu) => self.now.since(self.cpus[cpu].dispatched_at),
+                    TState::Ready | TState::Sleeping => Duration::ZERO,
+                };
+                self.trace.sample(TaskId(i as u64 + 1), self.now, in_flight);
             }
         }
         self.record_counters();
@@ -1027,30 +1011,6 @@ impl Simulator {
     }
 
     // ---- task lifecycle -------------------------------------------------
-
-    /// Pulls the task's next phase(s) after an arrival or wakeup and
-    /// moves it into the right state.
-    fn continue_task(&mut self, id: TaskId) {
-        let i = TaskArena::idx(id);
-        match self.resolve_next_phase(id) {
-            Resolved::Compute(d) => {
-                self.tasks.remaining[i] = d;
-                self.tasks.last_wake[i] = self.now;
-                self.tasks.awaiting_response[i] = true;
-                self.make_runnable(id);
-            }
-            Resolved::Sleep(until) => {
-                self.tasks.state[i] = TState::Sleeping;
-                self.post(until, EvKind::Wake(id));
-            }
-            Resolved::Exit => {
-                if self.tasks.attached[i] {
-                    self.sched.detach(id, self.now);
-                }
-                self.finish_task(id);
-            }
-        }
-    }
 
     /// Resolves behaviour output to a definite next step, skipping
     /// zero-cost computes and past deadlines.
@@ -1073,33 +1033,6 @@ impl Simulator {
             }
         }
         panic!("behavior of task {id} made no progress over 10000 phases");
-    }
-
-    fn make_runnable(&mut self, id: TaskId) {
-        let i = TaskArena::idx(id);
-        let weight = self.tasks.weight[i];
-        let tenant = self.tasks.tenant[i];
-        if self.tasks.attached[i] {
-            self.sched.wake(id, self.now);
-            if let Some(g) = &mut self.gms {
-                g.set_runnable(id, true);
-            }
-        } else {
-            self.sched.attach_tenant(id, weight, tenant, self.now);
-            self.tasks.attached[i] = true;
-            if let Some(g) = &mut self.gms {
-                g.add(id, weight, true);
-            }
-        }
-        self.tasks.state[i] = TState::Ready;
-        if self.rec.on() {
-            self.trace_buf.push(TraceEvent::Wake {
-                t: self.now.as_nanos(),
-                task: id,
-            });
-        }
-        self.dispatch_all();
-        self.preempt_check(id);
     }
 
     fn finish_task(&mut self, id: TaskId) {
@@ -1135,12 +1068,6 @@ impl Simulator {
     }
 
     // ---- CPU handling ---------------------------------------------------
-
-    fn dispatch_all(&mut self) {
-        for i in 0..self.cpus.len() {
-            self.dispatch(i);
-        }
-    }
 
     fn dispatch(&mut self, cpu_idx: usize) {
         if self.cpus[cpu_idx].current.is_some() {
@@ -1241,21 +1168,21 @@ impl Simulator {
         }
     }
 
+    /// `(cpu, task, time on CPU)` for every busy processor.
+    fn running(&self) -> impl Iterator<Item = (usize, TaskId, Duration)> + '_ {
+        let now = self.now;
+        self.cpus.iter().enumerate().filter_map(move |(i, c)| {
+            c.current
+                .map(|running| (i, running, now.since(c.dispatched_at)))
+        })
+    }
+
     fn preempt_check(&mut self, woken: TaskId) {
         if self.tasks.state[TaskArena::idx(woken)] != TState::Ready {
             return;
         }
-        let candidates: Vec<(usize, TaskId, Duration)> = self
-            .cpus
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                c.current
-                    .map(|running| (i, running, self.now.since(c.dispatched_at)))
-            })
-            .collect();
         let Some((i, running)) =
-            select_preemption_victim(self.sched.as_ref(), woken, &candidates, self.now)
+            select_preemption_victim(self.sched.as_ref(), woken, self.running(), self.now)
         else {
             return;
         };
@@ -1278,57 +1205,11 @@ impl Simulator {
         if !self.rec.on() {
             return;
         }
-        let t = self.now.as_nanos();
-        if let Some(v) = self.sched.virtual_time() {
-            self.trace_buf.push(TraceEvent::Counter {
-                t,
-                track: CounterTrack::VirtualTime,
-                value: v.to_f64(),
-            });
-        }
-        self.trace_buf.push(TraceEvent::Counter {
-            t,
-            track: CounterTrack::Runnable,
-            value: self.sched.nr_runnable() as f64,
+        let mut sample = CounterSample::default();
+        sample.add_queue(self.sched.as_ref(), self.running(), self.now);
+        sample.emit(self.now.as_nanos(), &mut self.last_readjust, |ev| {
+            self.trace_buf.push(ev);
         });
-        let mut max_surplus: Option<f64> = None;
-        let mut min_phi: Option<f64> = None;
-        for cpu in &self.cpus {
-            let Some(id) = cpu.current else { continue };
-            let ran = self.now.since(cpu.dispatched_at);
-            if let Some(s) = self.sched.charged_surplus(id, ran, self.now) {
-                let s = s.to_f64();
-                max_surplus = Some(max_surplus.map_or(s, |m| m.max(s)));
-            }
-            if let Some(phi) = self.sched.adjusted_weight_of(id) {
-                let phi = phi.to_f64();
-                min_phi = Some(min_phi.map_or(phi, |m| m.min(phi)));
-            }
-        }
-        if let Some(value) = max_surplus {
-            self.trace_buf.push(TraceEvent::Counter {
-                t,
-                track: CounterTrack::MaxRunSurplus,
-                value,
-            });
-        }
-        if let Some(value) = min_phi {
-            self.trace_buf.push(TraceEvent::Counter {
-                t,
-                track: CounterTrack::MinRunPhi,
-                value,
-            });
-        }
-        let stats = self.sched.stats();
-        let (calls, clamped) = (stats.readjust_calls, stats.weights_clamped);
-        if calls > self.last_readjust.0 {
-            self.trace_buf.push(TraceEvent::Readjust {
-                t,
-                calls: calls - self.last_readjust.0,
-                clamped: clamped.saturating_sub(self.last_readjust.1),
-            });
-        }
-        self.last_readjust = (calls, clamped);
     }
 }
 
@@ -1488,10 +1369,10 @@ mod tests {
             assert!(sched.wake_preempts(TaskId(4), running, ran, now));
         }
         // ...but the selected victim is the largest-surplus one.
-        let victim = select_preemption_victim(sched.as_ref(), TaskId(4), &candidates, now);
+        let victim = select_preemption_victim(sched.as_ref(), TaskId(4), candidates, now);
         assert_eq!(victim, Some((2, TaskId(3))));
         // With no eligible CPU there is no victim.
-        let none = select_preemption_victim(sched.as_ref(), TaskId(4), &[], now);
+        let none = select_preemption_victim(sched.as_ref(), TaskId(4), [], now);
         assert_eq!(none, None);
     }
 

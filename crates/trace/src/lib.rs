@@ -6,8 +6,9 @@
 //! per-CPU run slices, context switches, wakes, preemption evictions,
 //! shard steals/rebalances, §2.1 readjustment epochs, and counter
 //! samples (virtual time `v`, runnable count, running surplus/φ,
-//! lock-wait times, per-tenant service). That one event stream feeds
-//! three consumers:
+//! lock-wait times, per-tenant service). The policy counter tracks are
+//! computed once, by [`CounterSample`], for both substrates. That one
+//! event stream feeds three consumers:
 //!
 //! * **Perfetto export** ([`perfetto::encode`]): hand-encoded
 //!   `TracePacket`/`TrackEvent` protobufs (the vendored-deps policy
@@ -35,12 +36,14 @@
 //! relaxed atomic load, so the rt executor's hot path is unaffected
 //! unless a trace was explicitly requested.
 
+pub mod counters;
 pub mod event;
 pub mod json;
 pub mod perfetto;
 pub mod recorder;
 pub mod stream;
 
+pub use counters::CounterSample;
 pub use event::{
     CounterTrack, EventTrace, MigrateKind, TaskMeta, TraceError, TraceEvent, TraceMeta,
 };

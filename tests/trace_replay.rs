@@ -110,30 +110,45 @@ fn rt_capture_replays_identically_on_the_simulator() {
     );
 }
 
-/// The rt timer thread samples per-task scheduling state through the
-/// live scheduler: the worst charged surplus and the smallest adjusted
-/// weight among running tasks, on the same counter tracks the simulator
-/// uses — so both substrates' traces answer "how unfair did it get"
-/// directly in the Perfetto UI.
+/// Both substrates sample scheduling state through the live scheduler
+/// on the same counter tracks — virtual time, the runnable count, the
+/// worst charged surplus and the smallest adjusted weight among
+/// running tasks — plus the §2.1 readjustment epochs, so both traces
+/// answer "how unfair did it get" directly in the Perfetto UI. The rt
+/// run samples on its timer thread; the sim run on its periodic sample
+/// event, made frequent enough to land inside run slices.
 #[test]
 fn rt_timer_samples_running_surplus_and_phi() {
-    let exp = Experiment::on(sequential_scenario(), RtSubstrate::default());
-    let (_, capture) = exp.capture("sfs:quantum=5ms").unwrap();
-    let has = |want: CounterTrack| {
-        capture
-            .trace
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Counter { track, .. } if *track == want))
-    };
-    assert!(
-        has(CounterTrack::MaxRunSurplus),
-        "no surplus samples from the timer thread"
-    );
-    assert!(
-        has(CounterTrack::MinRunPhi),
-        "no adjusted-weight samples from the timer thread"
-    );
+    let policy = "sfs:quantum=5ms";
+    let (_, rt) = Experiment::on(sequential_scenario(), RtSubstrate::default())
+        .capture(policy)
+        .unwrap();
+    let mut sampled = sequential_scenario();
+    sampled.config.sample_every = Duration::from_millis(10);
+    let (_, sim) = Experiment::new(sampled).capture(policy).unwrap();
+    for (substrate, capture) in [("rt", &rt), ("sim", &sim)] {
+        assert_eq!(capture.trace.meta.substrate, substrate);
+        let events = &capture.trace.events;
+        for want in [
+            CounterTrack::VirtualTime,
+            CounterTrack::Runnable,
+            CounterTrack::MaxRunSurplus,
+            CounterTrack::MinRunPhi,
+        ] {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| matches!(e, TraceEvent::Counter { track, .. } if *track == want)),
+                "{substrate}: no {want:?} samples"
+            );
+        }
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::Readjust { .. })),
+            "{substrate}: no readjustment epochs"
+        );
+    }
 }
 
 #[test]
